@@ -1,0 +1,1 @@
+"""Layered benchmark of the repro package; see README.md."""
